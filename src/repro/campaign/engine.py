@@ -451,17 +451,15 @@ def _simulate_batch(
     ]
     persisted = False
     if shard_store is not None:
-        from repro.store import canonical_json, spec_hash
+        from repro.store import spec_key_and_json
         from repro.store.sharding import shard_writer
 
         with _metrics.phase_timer("store_write"):
-            shard_writer(shard_store).put_many(
-                [
-                    (spec_hash(spec), payload, canonical_json(spec))
-                    for spec, (payload, _mode) in zip(specs, results)
-                ],
-                kind="injection",
-            )
+            rows = []
+            for spec, (payload, _mode) in zip(specs, results):
+                key, spec_json = spec_key_and_json(spec)
+                rows.append((key, payload, spec_json))
+            shard_writer(shard_store).put_many(rows, kind="injection")
         persisted = True
     return {
         "results": results,
@@ -1177,7 +1175,8 @@ def _run_stratum(
     campaign_span: int = 0,
     merger=None,
 ) -> StratumSummary:
-    from repro.store import canonical_json, spec_hash
+    from repro.campaign.replay import lean_golden_for_kernel
+    from repro.store import spec_key_and_json
 
     interference = config.scenario_interference(scenario)
     stratum_label = f"{kernel}/{policy_value}/{target}/{scenario}/{scale:g}"
@@ -1195,6 +1194,9 @@ def _run_stratum(
     done = 0
     stratum_quarantined = 0
     early = False
+    # Sampling draws from the kernel's golden run; fetching it first
+    # books its execution under "golden" alone, never also "sampling".
+    lean_golden_for_kernel(kernel, scale)
     while done < config.trials and not early:
         batch_size = min(config.batch * window_groups, config.trials - done)
         with _metrics.phase_timer("sampling"):
@@ -1220,7 +1222,13 @@ def _run_stratum(
             )
             for fault in faults
         ]
-        keys = [spec_hash(spec) for spec in specs]
+        # (key, canonical JSON) per spec, serialised once — and not at
+        # all without a store: only quarantined points need it then.
+        identities = (
+            [spec_key_and_json(spec) for spec in specs]
+            if store is not None
+            else None
+        )
         indices = supervisor.assign_indices(len(specs))
         _metrics.inc("campaign_batches_total")
         _metrics.inc("campaign_points_total", len(specs))
@@ -1238,9 +1246,11 @@ def _run_stratum(
         # One SELECT resolves the whole batch's store hits up front —
         # warm resumes never enter the supervisor loop per hit (the
         # BENCH_6 warm-path regression was exactly that).
-        stored_payloads = store.get_many(keys) if lookup else {}
-        for slot, key in enumerate(keys):
-            stored = stored_payloads.get(key)
+        stored_payloads = (
+            store.get_many([key for key, _json in identities]) if lookup else {}
+        )
+        for slot in range(len(specs)):
+            stored = stored_payloads.get(identities[slot][0]) if lookup else None
             if stored is not None:
                 payloads[slot] = stored
                 result.store_hits += 1
@@ -1291,12 +1301,16 @@ def _run_stratum(
                         outcome=str(computed[index]["outcome"]),
                     )
                     if store is not None and index not in persisted:
-                        rows.append(
-                            (keys[slot], computed[index], canonical_json(specs[slot]))
-                        )
+                        key, spec_json = identities[slot]
+                        rows.append((key, computed[index], spec_json))
                 else:
                     error, tries = poisoned[index]
                     quarantined_slots.append(slot)
+                    key, spec_json = (
+                        identities[slot]
+                        if identities is not None
+                        else spec_key_and_json(specs[slot])
+                    )
                     point = QuarantinedPoint(
                         index=index,
                         kernel=kernel,
@@ -1306,8 +1320,8 @@ def _run_stratum(
                         scale=scale,
                         attempts=tries,
                         error=error.payload(),
-                        key=keys[slot],
-                        spec_json=canonical_json(specs[slot]),
+                        key=key,
+                        spec_json=spec_json,
                     )
                     result.quarantined.append(point)
                     if store is not None:

@@ -255,6 +255,11 @@ class GoldenRun:
     mem_init: Dict[int, int]
     mem_final: Dict[int, int]
     max_instructions: int
+    #: CacheGeometry -> word address -> event timeline, filled lazily by
+    #: :func:`repro.campaign.timeline.golden_timelines`.
+    timeline_memo: Dict[object, Dict[int, list]] = field(
+        default_factory=dict, repr=False
+    )
 
     @property
     def instructions(self) -> int:

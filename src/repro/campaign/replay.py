@@ -673,16 +673,21 @@ def _l2_fault_fired(trace: FunctionalTrace, fault: FaultSpec) -> bool:
 # ---------------------------------------------------------------------- #
 #: (kernel, scale) -> lean golden run shared by every fault in a group.
 _LEAN_GOLDEN_CACHE: Dict[Tuple[str, float], "GoldenRun"] = {}
-_LEAN_GOLDEN_CACHE_MAX = 8
+#: Covers the 16-kernel all-kernel grid twice over (two scales), so the
+#: warm-worker preload and a second in-process campaign never evict an
+#: entry before it is used.  ~0.25 MB per kernel at scale 0.1, plus
+#: ~0.2 MB per memoised timeline geometry.
+_LEAN_GOLDEN_CACHE_MAX = 32
 
 
 def lean_golden_for_kernel(kernel: str, scale: float) -> "GoldenRun":
     """Build (or fetch) the lean golden artefacts of one kernel.
 
-    The batched path's replacement for ``cached_kernel_trace`` +
-    ``_golden_final_memory``: one pre-decoded execution records the PC
-    stream, memory-op stream, store history, snapshots and final image —
-    everything triage and suffix-resume consume — without ever
+    The campaign path's only golden execution of a ``(kernel, scale)``:
+    one pre-decoded run records the PC stream, memory-op stream, store
+    history, snapshots and final image — everything sampling
+    (:func:`~repro.campaign.sampling.kernel_fault_space`), the memoised
+    cache timelines, triage and suffix-resume consume — without ever
     materialising per-instruction trace objects.
     """
     from repro.campaign.lean_sim import golden_pass
@@ -796,8 +801,9 @@ def run_injection_batch(
 ) -> List[ArchInjectionResult]:
     """Classify a batch of fault injections against shared golden state.
 
-    The batch is grouped by (kernel, scale); each group derives its
-    golden artefacts (lean golden run, per-word cache timelines) once.
+    The batch is grouped by (kernel, scale); each group reads its golden
+    artefacts (lean golden run, per-word cache timelines) from the
+    per-kernel golden run, which memoises the timelines per geometry.
     An analytical triage pass then classifies every dead-on-arrival or
     code-healed flip with zero re-execution, batching the corrupted
     codeword decodes through the vectorised
@@ -812,7 +818,7 @@ def run_injection_batch(
     """
     from repro.campaign import triage as _triage
     from repro.campaign.lean_sim import golden_pass
-    from repro.campaign.timeline import build_timelines
+    from repro.campaign.timeline import golden_timelines
 
     specs = list(specs)
     results: List[Optional[ArchInjectionResult]] = [None] * len(specs)
@@ -866,7 +872,7 @@ def run_injection_batch(
             contexts.append((index, spec, fault, geometry, wa, code))
 
         timelines = {
-            geometry: build_timelines(golden, geometry, words)
+            geometry: golden_timelines(golden, geometry, words)
             for geometry, words in geometry_words.items()
         }
 

@@ -69,21 +69,22 @@ _SPACE_CACHE_MAX = 32
 
 
 def kernel_fault_space(kernel: str, scale: float) -> KernelFaultSpace:
-    """Build (or fetch) the fault-sampling population of one kernel."""
+    """Build (or fetch) the fault-sampling population of one kernel.
+
+    The population comes from the lean golden run's memory-op word
+    stream — the same run every batched replay group of the kernel
+    consumes, so a campaign executes each ``(kernel, scale)`` once.
+    """
     key = (kernel, scale)
     cached = lru_get(_SPACE_CACHE, key)
     if cached is not None:
         return cached
-    from repro.experiments.runner import cached_kernel_trace
+    from repro.campaign.replay import lean_golden_for_kernel
 
-    _, trace = cached_kernel_trace(kernel, scale)
     seen = set()
     first_touch: List[int] = []
     distinct_before: List[int] = [0]
-    for dyn in trace.instructions:
-        if dyn.address is None:
-            continue
-        word = dyn.address & ~0x3
+    for word in lean_golden_for_kernel(kernel, scale).op_wa:
         if word not in seen:
             seen.add(word)
             first_touch.append(word)

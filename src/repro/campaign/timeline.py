@@ -12,9 +12,13 @@ backing store), evicted clean (corruption discarded) or dirty
 becomes architecturally visible) or stored (corruption overwritten),
 and what the end-of-run flush does to it.
 
-One walk covers *all* faulted words of a batch simultaneously — the
-cost is one pass over the op stream per (kernel, scale, write-policy)
-group, a few milliseconds, shared by hundreds of fault points.
+One walk covers *every* word the golden run touches simultaneously —
+the cost is one pass over the op stream per (kernel, scale, cache
+geometry), a few milliseconds, memoised on the golden run
+(:func:`golden_timelines`) and shared by every fault point of every
+batch of that kernel.  A word's timeline depends only on its own line's
+traffic, never on which other words are watched, so the memo answers
+any subset of words exactly as a dedicated walk would.
 
 The same invariant carries the timeline-delta walk
 (:func:`repro.campaign.triage._walk_divergent`): as long as that walk
@@ -166,3 +170,28 @@ def build_timelines(
         for watched_wa in watched:
             timelines[watched_wa].append((end_ordinal, kind, 0, 0))
     return timelines
+
+
+def golden_timelines(
+    golden: GoldenRun,
+    geometry: CacheGeometry,
+    words: Iterable[int],
+) -> Dict[int, List[Event]]:
+    """Per-word timelines of ``words``, memoised on ``golden`` per geometry.
+
+    The first request for a geometry walks the op stream once for every
+    word the run touches (plus any requested word it never touches);
+    later requests are dictionary lookups.  The returned mapping is the
+    shared memo itself — callers read it, never mutate it.
+    """
+    memo = golden.timeline_memo.get(geometry)
+    if memo is None:
+        watched = dict.fromkeys(golden.op_wa)
+        watched.update(dict.fromkeys(words))
+        memo = build_timelines(golden, geometry, watched)
+        golden.timeline_memo[geometry] = memo
+    else:
+        missing = [wa for wa in words if wa not in memo]
+        if missing:
+            memo.update(build_timelines(golden, geometry, missing))
+    return memo

@@ -20,6 +20,7 @@ from repro.store.canonical import (
     canonical_policy_value,
     spec_from_canonical,
     spec_hash,
+    spec_key_and_json,
 )
 from repro.store.result_store import (
     STORE_SCHEMA_VERSION,
@@ -64,5 +65,6 @@ __all__ = [
     "shard_writer",
     "spec_from_canonical",
     "spec_hash",
+    "spec_key_and_json",
     "store_timing_result",
 ]

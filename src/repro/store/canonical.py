@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.core.policies import EccPolicy, EccPolicyKind, make_policy
 from repro.memory.config import (
@@ -136,9 +136,20 @@ def canonical_json(spec: SimulationSpec) -> str:
     return json.dumps(canonical_dict(spec), sort_keys=True, separators=(",", ":"))
 
 
+def spec_key_and_json(spec: SimulationSpec) -> Tuple[str, str]:
+    """``(spec_hash(spec), canonical_json(spec))`` from one serialisation.
+
+    Store writers need both the key and the spec text of every row;
+    hashing the text they already hold keeps keys byte-identical to
+    :func:`spec_hash` at half the encoding cost.
+    """
+    text = canonical_json(spec)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest(), text
+
+
 def spec_hash(spec: SimulationSpec) -> str:
     """Content hash of ``spec`` — the result store's primary key."""
-    return hashlib.sha256(canonical_json(spec).encode("utf-8")).hexdigest()
+    return spec_key_and_json(spec)[0]
 
 
 # ---------------------------------------------------------------------- #

@@ -115,14 +115,10 @@ def store_timing_result(store, spec: SimulationSpec, result) -> None:
     convention — every writer (``simulate_spec``'s store branch, the
     experiment runner's serial and parallel paths) goes through it.
     """
-    from repro.store.canonical import canonical_json, spec_hash
+    from repro.store.canonical import spec_key_and_json
 
-    store.put(
-        spec_hash(spec),
-        payload_from_result(result),
-        spec_json=canonical_json(spec),
-        kind="timing",
-    )
+    key, spec_json = spec_key_and_json(spec)
+    store.put(key, payload_from_result(result), spec_json=spec_json, kind="timing")
 
 
 def cacheable(spec: SimulationSpec) -> bool:

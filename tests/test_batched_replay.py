@@ -34,6 +34,7 @@ from repro.functional.simulator import FunctionalSimulator, run_program
 from repro.isa.assembler import assemble
 from repro.scenarios.spec import FaultSpec, SimulationSpec
 from repro.store import ResultStore
+from repro.workloads import KERNEL_NAMES
 
 # --------------------------------------------------------------------- #
 # synthetic programs: each one corners a different triage branch        #
@@ -160,7 +161,7 @@ def _assert_equivalent(program, trace, specs):
 # lean golden pass                                                      #
 # --------------------------------------------------------------------- #
 class TestLeanGoldenPass:
-    @pytest.mark.parametrize("kernel", ["rspeed", "canrdr"])
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
     def test_matches_functional_simulator(self, kernel):
         from repro.campaign.lean_sim import golden_pass, memories_equal
         from repro.workloads import build_kernel
@@ -171,6 +172,9 @@ class TestLeanGoldenPass:
         assert golden.instructions == len(trace)
         assert golden.pcs == [d.pc for d in trace.instructions]
         assert golden.total_ops == _mem_ops(trace)
+        assert golden.op_wa == [
+            d.address & ~3 for d in trace.instructions if d.address is not None
+        ]
 
         simulator = FunctionalSimulator(program)
         simulator.run()
