@@ -292,10 +292,11 @@ def _build_campaign_parser() -> argparse.ArgumentParser:
         choices=("batched", "point"),
         default="batched",
         help=(
-            "batched (default): derive golden state once per batch, "
-            "triage dead-on-arrival/code-healed flips analytically and "
-            "suffix-resume the rest; point: legacy per-point replay. "
-            "Outcomes and summaries are byte-identical either way"
+            "oracle selector. batched (default): derive golden state once "
+            "per group, triage dead-on-arrival/code-healed flips "
+            "analytically and suffix-resume the rest; point: replays every "
+            "point through run_injection. Outcomes and summaries are "
+            "byte-identical either way"
         ),
     )
     parser.add_argument(

@@ -64,7 +64,7 @@ PICKLED_EXCEPTION_ROOTS = frozenset({"CampaignError"})
 
 #: Functions the process pool runs as warm-worker initializers —
 #: module-level mutable state they assign is fork-safe by construction.
-WORKER_INITIALIZERS = frozenset({"warm_lean_golden"})
+WORKER_INITIALIZERS = frozenset({"_init_pool_worker", "warm_lean_golden"})
 
 #: ``(glob pattern, class, tags)`` triples, first match wins.  Patterns
 #: match the module path relative to the ``repro`` package root, posix

@@ -102,10 +102,10 @@ class ChaosPlan:
     def has_directive(self, index: int) -> bool:
         """Non-consuming peek: does ``index`` still have a pending directive?
 
-        The batched scheduler routes chaos-targeted points through the
-        per-point path (where kill/hang/fail semantics are exact); this
-        peek must not consume a one-shot directive, or the directive
-        would silently never fire.
+        The scheduler runs chaos-targeted points as one-point groups
+        (where kill/hang/fail semantics are exact); this peek must not
+        consume a one-shot directive, or the directive would silently
+        never fire.
         """
         for directive in self.directives:
             if directive.index != index:

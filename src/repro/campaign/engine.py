@@ -125,13 +125,14 @@ class CampaignConfig:
     retry_backoff: float = 0.1
     #: Quarantine poison points (True) or fail fast (False).
     quarantine: bool = True
-    #: How sampled points are replayed: ``"batched"`` (default) hands
-    #: each stratum batch to :func:`repro.campaign.replay.run_injection_batch`
-    #: — golden trace, final memory and per-word timelines derived once
-    #: per (kernel, scale) group, analytical triage for dead-on-arrival
-    #: and code-healed flips, snapshot suffix-resume for the residue —
-    #: while ``"point"`` keeps the legacy one-process-job-per-point
-    #: path.  Outcomes and summaries are byte-identical either way.
+    #: Oracle selector: ``"batched"`` (default) hands each replay group
+    #: to :func:`repro.campaign.replay.run_injection_batch` — golden
+    #: artefacts shared per (kernel, scale), analytical triage for
+    #: dead-on-arrival and code-healed flips, snapshot suffix-resume for
+    #: the residue — while ``"point"`` replays every point through
+    #: :func:`repro.campaign.replay.run_injection`, the reference the
+    #: batched path is checked against.  Scheduling, supervision and
+    #: outcomes are identical either way.
     replay_mode: str = "batched"
 
     def __post_init__(self) -> None:
@@ -380,76 +381,50 @@ class CampaignResult:
         return text
 
 
-def _simulate_point(spec: SimulationSpec) -> Dict[str, object]:
-    """Worker-side job: one architectural injection, payload out.
-
-    Module-level so it pickles for :class:`ProcessPoolExecutor`; the
-    golden program/trace come from the worker's kernel-trace cache.
-    """
-    return run_injection(spec).payload()
-
-
-def _simulate_point_supervised(
-    spec: SimulationSpec, directive=None, hang_seconds: float = 0.0
+def _simulate_batch(
+    specs: Sequence[SimulationSpec],
+    shard_store: Optional[str] = None,
+    oracle: bool = False,
+    directive=None,
+    hang_seconds: float = 0.0,
 ) -> Dict[str, object]:
-    """One supervised injection, with an optional chaos directive.
+    """Worker-side job: one replay group, payloads out.
 
-    The directive travels pickled with the job (no shared state in the
-    pool workers); it runs *before* the real replay, so a chaos-killed
-    worker dies exactly where a segfault would.
+    The group goes to :func:`~repro.campaign.replay.run_injection_batch`,
+    or with ``oracle=True`` (the ``point`` replay mode) each spec replays
+    through :func:`run_injection` and is marked ``full``.  A chaos
+    ``directive`` travels pickled with the job and runs *before* the
+    replay, so a chaos-killed worker dies exactly where a segfault would;
+    a failing group leaves with this process's flight-recorder tail
+    attached to its taxonomy error.
 
-    Returns a job envelope ``{"payload", "pid", "phases"}``: the store
-    payload itself is exactly what replay produced; the worker pid and
-    its drained phase-timing snapshot ride alongside for telemetry only.
-    A failing point leaves with this process's flight-recorder tail
-    attached to the taxonomy error, so a quarantine records the last
-    things the worker actually did.
+    Returns ``{"results", "pid", "phases"}``: ``(payload, mode)`` per
+    spec in input order (the mode feeds the ``analytical=/streamed=/
+    full=`` counters), plus the worker pid and its drained phase timings
+    for telemetry.  With ``shard_store`` set (the canonical store's
+    path), the worker also writes its rows to its **own** shard file
+    (:mod:`repro.store.sharding`), so the campaign process merges shards
+    instead of writing them again.
     """
-    _flight.record("point-start", kernel=spec.kernel, policy=spec.policy)
+    from repro.campaign.replay import run_injection_batch
+
+    _flight.record("batch-start", points=len(specs))
     try:
         if directive is not None:
             from repro.campaign.chaos import apply_worker_directive
 
             apply_worker_directive(directive, hang_seconds)
-        payload = run_injection(spec).payload()
+        if oracle:
+            results = [(run_injection(spec).payload(), "full") for spec in specs]
+        else:
+            results = [
+                (result.payload(), result.replay_mode)
+                for result in run_injection_batch(list(specs))
+            ]
     except Exception as error:  # noqa: BLE001 - taxonomy boundary
         wrapped = wrap_point_error(error)
         wrapped.details.setdefault("flight_recorder", _flight.tail_payload())
         raise wrapped from error
-    return {
-        "payload": payload,
-        # repro: allow[D104] reason=telemetry envelope field; stripped before payloads persist (differential-tested)
-        "pid": os.getpid(),
-        "phases": _metrics.drain_phase_payload(),
-    }
-
-
-def _simulate_batch(
-    specs: Sequence[SimulationSpec], shard_store: Optional[str] = None
-) -> Dict[str, object]:
-    """Worker-side job: one whole batch through the shared-golden path.
-
-    Returns an envelope ``{"results", "pid", "phases", "persisted"}``;
-    ``results`` is ``(payload, replay_mode)`` per spec, in input order —
-    the mode string feeds the ``analytical=/streamed=/full=`` counters —
-    and the drained phase snapshot carries this job's golden/triage/
-    residue timings back to the campaign process.
-
-    With ``shard_store`` set (the canonical store's path), the worker
-    also persists its finished rows to its **own** shard file
-    (:mod:`repro.store.sharding`) before returning — the campaign
-    process then merges shards instead of re-writing every payload
-    through one connection, and ``persisted=True`` tells it to skip its
-    own ``put_many`` for this group.
-    """
-    from repro.campaign.replay import run_injection_batch
-
-    _flight.record("batch-start", points=len(specs))
-    results = [
-        (result.payload(), result.replay_mode)
-        for result in run_injection_batch(list(specs))
-    ]
-    persisted = False
     if shard_store is not None:
         from repro.store import spec_key_and_json
         from repro.store.sharding import shard_writer
@@ -460,14 +435,47 @@ def _simulate_batch(
                 key, spec_json = spec_key_and_json(spec)
                 rows.append((key, payload, spec_json))
             shard_writer(shard_store).put_many(rows, kind="injection")
-        persisted = True
     return {
         "results": results,
         # repro: allow[D104] reason=telemetry envelope field; stripped before payloads persist (differential-tested)
         "pid": os.getpid(),
         "phases": _metrics.drain_phase_payload(),
-        "persisted": persisted,
     }
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    """Exit this pool worker once ``parent`` (the campaign) is gone."""
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
+
+
+def _init_pool_worker(kernels, scales) -> None:
+    """Process-pool initializer: obey the supervisor, die with it, warm up.
+
+    A forked worker inherits :class:`_SignalGuard`'s handlers, which only
+    note a signal — so the watchdog's ``terminate()`` could not kill a
+    hung worker.  SIGTERM gets its default action back and SIGINT is
+    ignored (the campaign process owns the graceful checkpoint).  A
+    daemon thread exits the worker once its parent is gone, so a
+    SIGKILLed campaign leaves no orphans behind.  Best-effort throughout,
+    like :func:`~repro.campaign.replay.warm_lean_golden`: an initializer
+    exception would poison the whole pool.
+    """
+    from repro.campaign.replay import warm_lean_golden
+
+    try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        threading.Thread(
+            target=_exit_when_orphaned,
+            args=(os.getppid(),),
+            name="parent-watch",
+            daemon=True,
+        ).start()
+    except (OSError, RuntimeError, ValueError):
+        pass  # setup must never kill a worker
+    warm_lean_golden(kernels, scales)
 
 
 class _SignalGuard:
@@ -518,21 +526,23 @@ class _SignalGuard:
         )
 
 
-class _PointSupervisor:
-    """Runs batches of points, surviving harness faults.
+class _GroupSupervisor:
+    """Runs replay groups, surviving harness faults.
 
     One supervisor per campaign.  It owns the (optional) process pool,
     assigns every sampled point its campaign-global index (the chaos
-    schedule's clock), enforces the per-point watchdog, respawns the
-    pool after worker death, retries failed points with exponential
-    backoff and quarantines the ones that fail every attempt.
+    schedule's clock), enforces the watchdog, respawns the pool after
+    worker death, retries failed points with exponential backoff and
+    quarantines the ones that fail every attempt.
 
-    Fault attribution: when the pool breaks, every pending future fails
-    at once and only the point whose wait raised is charged an attempt —
-    then the supervisor switches to **isolation mode** (one in-flight
-    point at a time) until a clean round, so a genuine poison point is
-    charged precisely on every retry while innocent shard-mates are
-    rescheduled uncharged.
+    Fault attribution: only a **one-point** group's failure is charged
+    an attempt.  A multi-point group that raises, times out or loses its
+    worker is split into one-point groups and resubmitted uncharged;
+    when the pool breaks, the groups still pending are rescheduled whole
+    and uncharged, and the supervisor switches to **isolation mode**
+    (one in-flight group at a time) until a clean round — so a genuine
+    poison point is charged precisely on every retry while innocent
+    group-mates never are.
     """
 
     def __init__(
@@ -557,12 +567,8 @@ class _PointSupervisor:
             self._pooled = workers is not None and workers > 1
         self._width = workers if self._pooled else None
         # Workers write their own store shards only where contention
-        # exists at all: a real store file, a process pool, group jobs.
-        self.shard_store = (
-            shard_store
-            if self._pooled and config.replay_mode == "batched"
-            else None
-        )
+        # exists at all: a real store file and a process pool.
+        self.shard_store = shard_store if self._pooled else None
         self._executor: Optional[ProcessPoolExecutor] = None
         self._isolating = False
         self.next_index = 0
@@ -573,30 +579,20 @@ class _PointSupervisor:
     # -- pool lifecycle ------------------------------------------------- #
     def _pool(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            if self.config.replay_mode == "batched":
-                # Persistent warm workers: each worker preloads the
-                # sweep's golden artefacts once at spawn, so shards stop
-                # re-warming traces on every job (and a respawned pool
-                # re-warms exactly once, not per batch).
-                from repro.campaign.replay import warm_lean_golden
-
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self._width,
-                    initializer=warm_lean_golden,
-                    initargs=(self.config.kernels, self.config.sweep_scales),
-                )
-            else:
-                self._executor = ProcessPoolExecutor(max_workers=self._width)
+            # Persistent warm workers: each worker preloads the sweep's
+            # golden artefacts once at spawn, so groups stop re-warming
+            # traces on every job (and a respawned pool re-warms exactly
+            # once, not per batch).
+            self._executor = ProcessPoolExecutor(
+                max_workers=self._width,
+                initializer=_init_pool_worker,
+                initargs=(self.config.kernels, self.config.sweep_scales),
+            )
         return self._executor
-
-    def _collect(self, index: int, job: Dict[str, object], payloads) -> None:
-        """Unpack one point-job envelope (payload + telemetry sidecar)."""
-        payloads[index] = job["payload"]
-        self.worker_pids[index] = job["pid"]
-        _metrics.merge_phase_payload(job["phases"])
 
     def _kill_pool(self) -> None:
         executor, self._executor = self._executor, None
+        self._isolating = True
         if executor is None:
             return
         self.stats.worker_restarts += 1
@@ -631,28 +627,91 @@ class _PointSupervisor:
         self.next_index += count
         return indices
 
+    def inflight_groups(self) -> int:
+        """Group jobs one stratum window keeps in flight.
+
+        Pooled campaigns target **two groups per worker**: one running
+        while its successor queues, so workers never idle between a
+        group finishing and the engine's collect/flush — and
+        golden-artefact derivation for one group overlaps residue
+        replay of another.  Serial campaigns window one group at a
+        time (there is nothing to overlap with).
+        """
+        if not self._pooled:
+            return 1
+        return max(2, 2 * (self._width or 1))
+
     def run_batch(
-        self, jobs: Sequence[Tuple[int, SimulationSpec]]
-    ) -> Tuple[Dict[int, Dict[str, object]], Dict[int, Tuple[CampaignError, int]]]:
+        self, jobs: Sequence[Tuple[int, SimulationSpec]], *, chunk: Optional[int] = None
+    ) -> Tuple[
+        Dict[int, Tuple[Dict[str, object], str]],
+        Dict[int, Tuple[CampaignError, int]],
+    ]:
         """Run ``(global_index, spec)`` jobs to completion or quarantine.
 
-        Returns ``(payloads, quarantined)`` keyed by global index;
-        ``quarantined`` values are ``(final_error, attempts)``.  With
+        Returns ``(results, quarantined)`` keyed by global index:
+        ``results`` values are ``(payload, replay mode)``, ``quarantined``
+        values ``(final_error, attempts)``.  With
         ``config.quarantine=False`` the final error is raised instead.
+
+        Every job is a group job:
+
+        * chaos-targeted points (a *non-consuming* peek at the plan, so
+          one-shot directives still fire exactly once) run as one-point
+          groups, so kill/hang/fail directives land on exactly that
+          point's process boundary;
+        * the rest run as groups of up to ``chunk`` points against
+          shared golden state — **all submitted up front**, so a pooled
+          campaign keeps every worker busy — each under a watchdog
+          scaled to its size;
+        * a failed multi-point group is split into one-point groups and
+          resubmitted uncharged; a failed one-point group is charged an
+          attempt, retried with exponential backoff and quarantined
+          after ``max_retries`` retries.
         """
-        payloads: Dict[int, Dict[str, object]] = {}
+        targeted = {
+            index
+            for index, _spec in jobs
+            if self.chaos is not None and self.chaos.has_directive(index)
+        }
+        rest = [job for job in sorted(jobs) if job[0] not in targeted]
+        size = chunk or len(rest) or 1
+        pending = [rest[start : start + size] for start in range(0, len(rest), size)]
+        if pending:
+            _flight.record("dispatch-group", points=len(rest), groups=len(pending))
+        pending += [[job] for job in sorted(jobs) if job[0] in targeted]
+        results: Dict[int, Tuple[Dict[str, object], str]] = {}
         quarantined: Dict[int, Tuple[CampaignError, int]] = {}
         attempts: Dict[int, int] = {}
-        pending = sorted(jobs)
         while pending:
             failed: List[Tuple[int, SimulationSpec, CampaignError]] = []
-            if self._pooled:
-                survivors = self._run_pooled(pending, payloads, failed)
+            retry: List[List[Tuple[int, SimulationSpec]]] = []
+            if self._isolating:
+                waves = [[group] for group in pending]
             else:
-                survivors = self._run_serial(pending, payloads, failed)
-            if self._pooled and not failed:
+                # Chaos-targeted points run after every other group of
+                # the round has finished, so a chaos kill can only break
+                # the pool under its own one-point group.
+                waves = [
+                    [group for group in pending if group[0][0] not in targeted],
+                    [group for group in pending if group[0][0] in targeted],
+                ]
+            for wave in waves:
+                for group, outcome in self._run_groups(wave):
+                    if outcome is None:
+                        retry.append(group)
+                    elif isinstance(outcome, CampaignError):
+                        if len(group) == 1:
+                            failed.append((*group[0], outcome))
+                        else:
+                            retry.extend([job] for job in group)
+                    else:
+                        _metrics.merge_phase_payload(outcome["phases"])
+                        for (index, _spec), result in zip(group, outcome["results"]):
+                            results[index] = result
+                            self.worker_pids[index] = outcome["pid"]
+            if not failed and not retry:
                 self._isolating = False
-            retry: List[Tuple[int, SimulationSpec]] = list(survivors)
             for index, spec, error in failed:
                 attempts[index] = attempts.get(index, 0) + 1
                 self.stats.record(error)
@@ -707,125 +766,35 @@ class _PointSupervisor:
                             self.config.retry_backoff
                             * (2 ** (attempts[index] - 1))
                         )
-                    retry.append((index, spec))
+                    retry.append([(index, spec)])
             pending = sorted(retry)
-        return payloads, quarantined
-
-    def inflight_groups(self) -> int:
-        """Group jobs one stratum window keeps in flight.
-
-        Pooled batched campaigns target **two groups per worker**: one
-        running while its successor queues, so workers never idle
-        between a group finishing and the engine's collect/flush — and
-        golden-artefact derivation for one group overlaps residue
-        replay of another.  Serial campaigns window one group at a
-        time (there is nothing to overlap with).
-        """
-        if not self._pooled:
-            return 1
-        return max(2, 2 * (self._width or 1))
-
-    def run_batch_grouped(
-        self, jobs: Sequence[Tuple[int, SimulationSpec]], *, chunk: Optional[int] = None
-    ) -> Tuple[
-        Dict[int, Dict[str, object]],
-        Dict[int, Tuple[CampaignError, int]],
-        Dict[int, str],
-        set,
-    ]:
-        """Run one stratum window through the batched replay backend.
-
-        Returns ``(payloads, quarantined, modes, persisted)``; ``modes``
-        maps each completed global index to its replay mode
-        (``analytical`` / ``streamed`` / ``full``) and ``persisted``
-        holds the indices whose rows a worker already wrote to its own
-        store shard (the engine must not write them again).
-
-        Semantics are preserved by routing, not by re-implementation:
-
-        * chaos-targeted points (a *non-consuming* peek at the plan, so
-          one-shot directives still fire exactly once) take the
-          per-point path, where kill/hang/fail directives land on a
-          process boundary exactly as in ``--replay-mode=point``;
-        * the rest run as group jobs of up to ``chunk`` points against
-          shared golden state — **all submitted up front**, so a pooled
-          campaign keeps every worker busy — each under a watchdog
-          scaled to its size;
-        * if a group job times out, crashes its worker or raises, every
-          point in it is retried through the per-point path — which
-          owns retry accounting, backoff, isolation mode and
-          quarantine — so a poison point is attributed and quarantined
-          precisely, and no batch failure is ever charged to innocents.
-        """
-        point_jobs: List[Tuple[int, SimulationSpec]] = []
-        group_jobs: List[Tuple[int, SimulationSpec]] = []
-        for index, spec in jobs:
-            if self.chaos is not None and self.chaos.has_directive(index):
-                point_jobs.append((index, spec))
-            else:
-                group_jobs.append((index, spec))
-        payloads: Dict[int, Dict[str, object]] = {}
-        modes: Dict[int, str] = {}
-        persisted: set = set()
-        if group_jobs:
-            size = chunk if chunk else len(group_jobs)
-            groups = [
-                group_jobs[start : start + size]
-                for start in range(0, len(group_jobs), size)
-            ]
-            _flight.record(
-                "dispatch-group", points=len(group_jobs), groups=len(groups)
-            )
-            for group, batch in self._run_groups(groups):
-                if batch is None:
-                    point_jobs.extend(group)
-                    continue
-                _metrics.merge_phase_payload(batch["phases"])
-                if batch.get("persisted"):
-                    persisted.update(index for index, _spec in group)
-                for (index, _spec), (payload, mode) in zip(
-                    group, batch["results"]
-                ):
-                    payloads[index] = payload
-                    modes[index] = mode
-                    self.worker_pids[index] = batch["pid"]
-        quarantined: Dict[int, Tuple[CampaignError, int]] = {}
-        if point_jobs:
-            point_payloads, quarantined = self.run_batch(sorted(point_jobs))
-            for index, payload in point_payloads.items():
-                payloads[index] = payload
-                modes[index] = "full"
-        return payloads, quarantined, modes, persisted
+        return results, quarantined
 
     def _run_groups(self, groups):
         """Run group jobs, overlapped when pooled.
 
-        Yields ``(group, envelope)`` pairs in submission order;
-        ``envelope=None`` means "retry this group's points per-point".
-        Pooled execution submits **every** group before collecting the
-        first result, so up to pool-width groups run concurrently and
-        the rest queue warm behind them.
+        Yields ``(group, outcome)`` in submission order; ``outcome`` is
+        the job envelope, the :class:`CampaignError` the group failed
+        with, or ``None`` when the pool died under an earlier group
+        before this one finished (rescheduled uncharged).  Pooled
+        execution submits **every** group before collecting the first
+        result, so up to pool-width groups run concurrently and the rest
+        queue warm behind them.
         """
         if not self._pooled:
             for group in groups:
                 try:
-                    yield group, _simulate_batch(
-                        [spec for _index, spec in group]
-                    )
-                except Exception:  # noqa: BLE001 - per-point path attributes it
-                    yield group, None
+                    outcome = _simulate_batch(*self._job_args(group))
+                except Exception as error:  # noqa: BLE001 - taxonomy boundary
+                    outcome = wrap_point_error(error)
+                yield group, outcome
             return
         submitted = []
         for group in groups:
             try:
-                future = self._pool().submit(
-                    _simulate_batch,
-                    [spec for _index, spec in group],
-                    self.shard_store,
-                )
+                future = self._pool().submit(_simulate_batch, *self._job_args(group))
             except BrokenProcessPool:
                 self._kill_pool()
-                self._isolating = True
                 future = None
             submitted.append((group, future))
         broken = False
@@ -844,127 +813,47 @@ class _PointSupervisor:
                 else:
                     yield group, None
                 continue
-            timeout = (
-                self.config.point_timeout * max(1, len(group))
-                if self.config.point_timeout is not None
-                else None
-            )
+            timeout = self.config.point_timeout
             try:
-                yield group, future.result(timeout=timeout)
-            except (FuturesTimeoutError, BrokenProcessPool):
-                self._kill_pool()
-                self._isolating = True
-                broken = True
-                yield group, None
-            except Exception:  # noqa: BLE001 - per-point path attributes it
-                yield group, None
-
-    def _chaos_worker_directive(self, index: int, *, inline: bool):
-        if self.chaos is None:
-            return None
-        directive = self.chaos.directive_for(index, worker=True)
-        if directive is not None and inline and directive.kind != "fail":
-            # No worker boundary to kill or hang in inline execution.
-            return None
-        return directive
-
-    def _chaos_supervisor_step(self, index: int) -> None:
-        if self.chaos is None:
-            return
-        from repro.campaign.chaos import apply_supervisor_directive
-
-        apply_supervisor_directive(self.chaos.directive_for(index, worker=False))
-
-    def _run_serial(self, pending, payloads, failed):
-        for index, spec in pending:
-            self._chaos_supervisor_step(index)
-            directive = self._chaos_worker_directive(index, inline=True)
-            try:
-                self._collect(index, _simulate_point_supervised(spec, directive), payloads)
-            except Exception as error:  # noqa: BLE001 - taxonomy boundary
-                failed.append((index, spec, wrap_point_error(error, point_index=index)))
-        return []
-
-    def _run_pooled(self, pending, payloads, failed):
-        if self._isolating:
-            waves = [[job] for job in pending]
-        else:
-            waves = [list(pending)]
-        survivors: List[Tuple[int, SimulationSpec]] = []
-        for wave in waves:
-            survivors.extend(self._run_wave(wave, payloads, failed))
-        return survivors
-
-    def _run_wave(self, wave, payloads, failed):
-        hang = self.chaos.hang_seconds if self.chaos is not None else 0.0
-        futures = []
-        for index, spec in wave:
-            self._chaos_supervisor_step(index)
-            directive = self._chaos_worker_directive(index, inline=False)
-            try:
-                future = self._pool().submit(
-                    _simulate_point_supervised, spec, directive, hang
-                )
-            except BrokenProcessPool:
-                self._kill_pool()
-                self._isolating = True
-                futures.append((index, spec, None))
-                continue
-            futures.append((index, spec, future))
-        survivors: List[Tuple[int, SimulationSpec]] = []
-        broken = False
-        for index, spec, future in futures:
-            if future is None or broken:
-                # The pool died under this future: collect it if it
-                # finished in time, otherwise reschedule it uncharged
-                # (the point whose wait raised took the blame).
-                if (
-                    future is not None
-                    and future.done()
-                    and not future.cancelled()
-                    and future.exception() is None
-                ):
-                    self._collect(index, future.result(), payloads)
-                else:
-                    survivors.append((index, spec))
-                continue
-            try:
-                self._collect(
-                    index,
-                    future.result(timeout=self.config.point_timeout),
-                    payloads,
+                outcome = future.result(
+                    timeout=timeout * len(group) if timeout is not None else None
                 )
             except FuturesTimeoutError:
-                failed.append(
-                    (
-                        index,
-                        spec,
-                        PointTimeout(
-                            f"point exceeded the {self.config.point_timeout:g}s "
-                            "watchdog",
-                            timeout_seconds=self.config.point_timeout,
-                        ),
-                    )
+                outcome = PointTimeout(
+                    f"point exceeded the {timeout:g}s watchdog",
+                    timeout_seconds=timeout,
                 )
-                self._kill_pool()
-                self._isolating = True
                 broken = True
             except BrokenProcessPool:
-                failed.append(
-                    (
-                        index,
-                        spec,
-                        WorkerCrash("a pool worker died while running the shard"),
-                    )
-                )
-                self._kill_pool()
-                self._isolating = True
+                outcome = WorkerCrash("a pool worker died while running the shard")
                 broken = True
             except Exception as error:  # noqa: BLE001 - taxonomy boundary
-                failed.append(
-                    (index, spec, wrap_point_error(error, point_index=index))
-                )
-        return survivors
+                outcome = wrap_point_error(error)
+            if broken:
+                self._kill_pool()
+            yield group, outcome
+
+    def _job_args(self, group) -> tuple:
+        """:func:`_simulate_batch` arguments for one group, after applying
+        a one-point group's supervisor-side chaos step (multi-point groups
+        never hold a chaos-targeted point)."""
+        directive = None
+        if self.chaos is not None and len(group) == 1:
+            from repro.campaign.chaos import apply_supervisor_directive
+
+            index = group[0][0]
+            apply_supervisor_directive(self.chaos.directive_for(index, worker=False))
+            directive = self.chaos.directive_for(index, worker=True)
+            if directive is not None and not self._pooled and directive.kind != "fail":
+                # No worker boundary to kill or hang in inline execution.
+                directive = None
+        return (
+            [spec for _index, spec in group],
+            self.shard_store,
+            self.config.replay_mode == "point",
+            directive,
+            self.chaos.hang_seconds if self.chaos is not None else 0.0,
+        )
 
 
 def _dl1_code_instance(policy_value: str) -> EccCode:
@@ -1078,7 +967,7 @@ def run_campaign(
         telemetry.progress_interval if telemetry is not None else None,
         expected=config.trials * sum(1 for _ in config.strata()),
     )
-    supervisor = _PointSupervisor(
+    supervisor = _GroupSupervisor(
         config,
         chaos,
         result.stats,
@@ -1168,7 +1057,7 @@ def _run_stratum(
     scale: float,
     store,
     resume: bool,
-    supervisor: _PointSupervisor,
+    supervisor: _GroupSupervisor,
     guard: _SignalGuard,
     result: CampaignResult,
     heartbeat: Optional[_Heartbeat] = None,
@@ -1181,16 +1070,12 @@ def _run_stratum(
     interference = config.scenario_interference(scenario)
     stratum_label = f"{kernel}/{policy_value}/{target}/{scenario}/{scale:g}"
     counts: Dict[str, int] = {key: 0 for key in OUTCOME_KEYS}
-    # Window sizing: a batched sweep with no early-stopping checks to
-    # honour samples `inflight_groups` batches at once and submits them
-    # all, so a pooled campaign keeps >= 2 group jobs per worker in
-    # flight.  With a CI target (or the point backend) the window stays
-    # one batch, preserving the historical check cadence exactly.
-    window_groups = (
-        supervisor.inflight_groups()
-        if config.replay_mode == "batched" and config.ci_target is None
-        else 1
-    )
+    # Window sizing: a sweep with no early-stopping checks to honour
+    # samples `inflight_groups` batches at once and submits them all, so
+    # a pooled campaign keeps >= 2 group jobs per worker in flight.
+    # With a CI target the window stays one batch, preserving the
+    # historical check cadence exactly.
+    window_groups = supervisor.inflight_groups() if config.ci_target is None else 1
     done = 0
     stratum_quarantined = 0
     early = False
@@ -1264,24 +1149,17 @@ def _run_stratum(
                 to_run.append(slot)
         quarantined_slots: List[int] = []
         rows: List[Tuple[str, Dict[str, object], str]] = []
-        persisted: set = set()
         if to_run:
             jobs = [(indices[slot], specs[slot]) for slot in to_run]
             run_started = _trace.now()
-            if config.replay_mode == "batched":
-                computed, poisoned, modes, persisted = (
-                    supervisor.run_batch_grouped(jobs, chunk=config.batch)
-                )
-            else:
-                computed, poisoned = supervisor.run_batch(jobs)
-                modes = {}
+            computed, poisoned = supervisor.run_batch(jobs, chunk=config.batch)
             run_ended = _trace.now()
             for slot in to_run:
                 index = indices[slot]
                 if index in computed:
-                    payloads[slot] = computed[index]
+                    payload, mode = computed[index]
+                    payloads[slot] = payload
                     result.simulated += 1
-                    mode = modes.get(index, "full")
                     result.stats.record_mode(mode)
                     _metrics.inc("campaign_points_simulated_total")
                     _metrics.inc(
@@ -1298,11 +1176,12 @@ def _run_stratum(
                         worker=supervisor.worker_pids.get(index),
                         index=index,
                         mode=mode,
-                        outcome=str(computed[index]["outcome"]),
+                        outcome=str(payload["outcome"]),
                     )
-                    if store is not None and index not in persisted:
+                    # Pooled workers already wrote the row to their shard.
+                    if store is not None and supervisor.shard_store is None:
                         key, spec_json = identities[slot]
-                        rows.append((key, computed[index], spec_json))
+                        rows.append((key, payload, spec_json))
                 else:
                     error, tries = poisoned[index]
                     quarantined_slots.append(slot)

@@ -913,9 +913,10 @@ def run_injection_batch(
             ]
             for i, decoded in zip(code_indices, code.decode_many(flipped)):
                 decode_results[i] = decoded
-        observe_phase("triage", time.perf_counter() - triage_started)
 
-        # Pass 3: triage; execute only the residue.
+        # Pass 3: triage; execute only the residue (booked apart, under
+        # "residue" alone).
+        residue_s = 0.0
         for context in contexts:
             if context is None:
                 continue
@@ -934,10 +935,14 @@ def run_injection_batch(
             if verdict is None:
                 fallback.append(index)
             elif isinstance(verdict, _triage.ResiduePlan):
-                with phase_timer("residue"):
-                    results[index] = _run_residue(spec, golden, geometry, verdict)
+                residue_started = time.perf_counter()
+                results[index] = _run_residue(spec, golden, geometry, verdict)
+                elapsed = time.perf_counter() - residue_started
+                observe_phase("residue", elapsed)
+                residue_s += elapsed
             else:
                 results[index] = _analytic_result(spec, verdict, golden_len)
+        observe_phase("triage", time.perf_counter() - triage_started - residue_s)
 
         for index in fallback:
             result = run_injection(specs[index], program=program)

@@ -594,13 +594,20 @@ class TestChaosUnderBatching:
         assert resumed.simulated == 0
         assert resumed.render() == crashed.render()
 
-    def test_transient_fail_is_retried_through_the_point_path(self):
+    def test_transient_fail_is_retried_as_a_one_point_group(self):
         clean = run_campaign(config())
         chaotic = run_campaign(config(), chaos=parse_chaos("fail@2"))
         assert chaotic.render() == clean.render()
-        assert chaotic.stats.retries == 1
-        # The chaos-targeted point executed via the per-point path.
-        assert chaotic.stats.full >= 1
+        # The chaos-targeted point ran as its own one-point group: its
+        # failure alone was charged, and its retry replayed through the
+        # same batched path as every other point.
+        stats = chaotic.stats
+        assert stats.retries == 1
+        assert stats.replay_failures == 1
+        assert (
+            stats.analytical + stats.streamed + stats.full + stats.store_hits
+            == chaotic.points
+        )
 
 
 # --------------------------------------------------------------------- #

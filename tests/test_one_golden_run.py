@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.campaign import CampaignConfig, lean_sim, replay, run_campaign, sampling
 from repro.campaign import timeline as timeline_module
+from repro.campaign import triage
 from repro.campaign.sampling import KernelFaultSpace, kernel_fault_space
 from repro.campaign.timeline import build_timelines, golden_timelines
 from repro.campaign.triage import geometry_for
@@ -175,20 +176,30 @@ class TestCampaignGoldenCalls:
 
 class TestPhaseAccounting:
     GOLDEN_DELAY_S = 0.3
+    TRIAGE_DELAY_S = 0.02
 
     def test_phase_sums_fit_in_the_campaign_span(
         self, monkeypatch, tmp_path, fresh_golden_caches
     ):
-        """A slow golden pass makes any double booking visible: counted
-        under both "golden" and "sampling", the phases would outgrow the
-        campaign span they are part of."""
+        """A slow golden pass and a slow triage walk make any double or
+        missed booking visible: golden time counted under both "golden"
+        and "sampling" would outgrow the campaign span, and triage time
+        outside "triage" would leave that phase short of its delay."""
         original = lean_sim.golden_pass
+        original_triage = triage.triage_dl1
+        triage_calls = []
 
         def slow_golden_pass(*args, **kwargs):
             time.sleep(self.GOLDEN_DELAY_S)
             return original(*args, **kwargs)
 
+        def slow_triage_dl1(*args, **kwargs):
+            triage_calls.append(1)
+            time.sleep(self.TRIAGE_DELAY_S)
+            return original_triage(*args, **kwargs)
+
         monkeypatch.setattr(lean_sim, "golden_pass", slow_golden_pass)
+        monkeypatch.setattr(triage, "triage_dl1", slow_triage_dl1)
         metrics.reset_registry()
         path = tmp_path / "phases.trace"
         try:
@@ -214,4 +225,6 @@ class TestPhaseAccounting:
         campaign_s = float(span["t_end"]) - float(span["t_start"])
         assert phases["golden"] >= 2 * self.GOLDEN_DELAY_S
         assert phases["sampling"] < self.GOLDEN_DELAY_S
+        assert len(triage_calls) == 2 * 4
+        assert phases["triage"] >= len(triage_calls) * self.TRIAGE_DELAY_S
         assert sum(phases.values()) <= campaign_s

@@ -16,6 +16,7 @@ import signal
 import sqlite3
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -34,6 +35,7 @@ from repro.campaign import (
     parse_chaos,
     run_campaign,
 )
+from repro.campaign import engine
 from repro.campaign.errors import wrap_point_error
 from repro.store import ResultStore, payload_checksum, with_lock_retry
 
@@ -56,6 +58,50 @@ def config(**overrides) -> CampaignConfig:
     merged = dict(BASE)
     merged.update(overrides)
     return CampaignConfig(**merged)
+
+
+def _stat(pid):
+    """The fields of ``/proc/<pid>/stat`` after the command name (state,
+    ppid, pgrp, ...), or None once the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` is a running process (a zombie has exited)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    fields = _stat(pid)
+    return fields is None or fields[0] != "Z"
+
+
+def _live_group_members(pgid: int):
+    """Pids of the running (non-zombie) processes in group ``pgid``.
+
+    ``os.killpg(pgid, 0)`` alone cannot tell: it also succeeds while the
+    group holds only exited processes that no init process reaps yet.
+    """
+    members = []
+    for entry in os.listdir("/proc"):
+        fields = _stat(entry) if entry.isdigit() else None
+        if fields and int(fields[2]) == pgid and fields[0] != "Z":
+            members.append(int(entry))
+    return members
+
+
+def _await(condition, *, seconds: float) -> bool:
+    """Poll ``condition`` until it holds or ``seconds`` pass."""
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
 
 
 # --------------------------------------------------------------------- #
@@ -395,7 +441,18 @@ class TestSupervisor:
         assert crashed.stats.worker_crashes >= 1
         assert not crashed.quarantined
 
-    def test_hung_point_trips_the_watchdog_and_quarantines(self):
+    def test_hung_point_trips_the_watchdog_and_quarantines(self, monkeypatch):
+        # Record the workers the watchdog kills: they must die when told
+        # to, not when their 30 s hang ends.
+        killed = []
+        original_kill = engine._GroupSupervisor._kill_pool
+
+        def recording_kill(supervisor):
+            if supervisor._executor is not None:
+                killed.extend(supervisor._executor._processes)
+            original_kill(supervisor)
+
+        monkeypatch.setattr(engine._GroupSupervisor, "_kill_pool", recording_kill)
         result = run_campaign(
             config(point_timeout=1.5, max_retries=0),
             chaos=parse_chaos("timeout@2:always", hang_seconds=30.0),
@@ -404,6 +461,8 @@ class TestSupervisor:
         assert result.quarantined[0].error["error"] == "point-timeout"
         assert result.stats.timeouts >= 1
         assert result.points == BASE["trials"] - 1
+        assert killed
+        assert _await(lambda: not any(map(_alive, killed)), seconds=2.0)
 
     def test_serial_campaign_with_timeout_still_enforces_it(self):
         # No --workers: the watchdog transparently uses a 1-worker pool.
@@ -444,7 +503,72 @@ class TestSupervisor:
             config(retry_backoff=-0.1)
 
 
-def _cli(args, store, tmp_path, *, chaos=None, out=None, extra=()):
+class TestGroupFailure:
+    """A replay group that fails without chaos: the real-fault path.
+
+    Chaos-targeted points always run as one-point groups, so no chaos
+    plan ever fails a multi-point group; a patched batch replay that
+    raises on one chosen point does.
+    """
+
+    POLICIES = ("extra-cycle", "no-ecc")
+    POISON = 2  # the third point of the first stratum
+
+    @pytest.fixture
+    def clean_then_poisoned(self, monkeypatch):
+        """The clean campaign's result; afterwards, replay is poisoned."""
+        from repro.campaign import replay
+        from repro.campaign.sampling import sample_faults
+
+        poison = sample_faults(
+            "rspeed", BASE["scale"], self.POLICIES[0], self.POISON + 1,
+            seed=BASE["seed"],
+        )[self.POISON]
+        original = replay.run_injection_batch
+
+        def failing_batch(specs, **kwargs):
+            specs = list(specs)
+            if any(
+                spec.policy == self.POLICIES[0] and spec.fault == poison
+                for spec in specs
+            ):
+                raise RuntimeError("replay blew up")
+            return original(specs, **kwargs)
+
+        clean = run_campaign(config(policies=self.POLICIES))
+        monkeypatch.setattr(replay, "run_injection_batch", failing_batch)
+        return clean
+
+    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "pooled"])
+    def test_only_the_failing_point_is_charged(self, clean_then_poisoned, workers):
+        clean = clean_then_poisoned
+        result = run_campaign(config(policies=self.POLICIES, workers=workers))
+        max_retries = BASE.get("max_retries", CampaignConfig.max_retries)
+        (point,) = result.quarantined
+        assert point.index == self.POISON
+        assert point.attempts == max_retries + 1
+        assert point.error["error"] == "replay-divergence"
+        # Group-mates of the poison point were split off uncharged.
+        assert result.stats.retries == max_retries
+        stats = result.stats
+        assert (
+            stats.analytical + stats.streamed + stats.full + stats.store_hits
+            == result.points
+        )
+        poisoned, other = result.strata
+        assert other.counts == clean.strata[1].counts
+        assert poisoned.trials == clean.strata[0].trials - 1
+        assert sum(
+            clean.strata[0].counts[key] - poisoned.counts[key]
+            for key in poisoned.counts
+        ) == 1
+        assert all(
+            clean.strata[0].counts[key] >= poisoned.counts[key]
+            for key in poisoned.counts
+        )
+
+
+def _cli(args, store, tmp_path, *, chaos=None, out=None, extra=(), after_exit=None):
     command = [
         sys.executable,
         "-m",
@@ -488,7 +612,10 @@ def _cli(args, store, tmp_path, *, chaos=None, out=None, extra=()):
         start_new_session=True,
     )
     try:
-        return process.wait(timeout=240)
+        returncode = process.wait(timeout=240)
+        if after_exit is not None:
+            after_exit(process.pid)
+        return returncode
     finally:
         try:
             os.killpg(process.pid, signal.SIGKILL)
@@ -523,6 +650,27 @@ class TestKillAnywhereResume:
             )
         )
         assert out.read_text(encoding="utf-8") == fresh.render() + "\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs procfs")
+    def test_killed_pooled_campaign_leaves_no_live_workers(self, tmp_path):
+        # The campaign runs in its own session (process group): once it
+        # is SIGKILLed, its pool workers must notice and exit too.
+        survivors = []
+
+        def settle(pgid):
+            _await(lambda: not _live_group_members(pgid), seconds=5.0)
+            survivors.extend(_live_group_members(pgid))
+
+        killed = _cli(
+            [],
+            tmp_path / "orphans.sqlite",
+            tmp_path,
+            chaos="kill-main@5",
+            extra=("--workers", "2"),
+            after_exit=settle,
+        )
+        assert killed == -signal.SIGKILL
+        assert survivors == []
 
 
 # --------------------------------------------------------------------- #
